@@ -12,7 +12,7 @@ object Table1Job {
   def main(args: Array[String]): Unit = {
     val maxTrials = args.headOption.map(_.toInt).getOrElse(1000)
     val minTimeMs = args.lift(1).map(_.toLong).getOrElse(1500L)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("table1")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -13,7 +13,7 @@ object Table2Job {
   def main(args: Array[String]): Unit = {
     val trials = args.headOption.map(_.toInt).getOrElse(100)
     val budget = args.lift(1).map(_.toLong).getOrElse(60000L)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("table2")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

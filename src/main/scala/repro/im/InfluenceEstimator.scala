@@ -2,7 +2,7 @@ package repro.im
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BoxedFrontier, FullScan}
-import repro.core.{CsrGraph, IcSimulator, LtSimulator}
+import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model}
 import repro.spark.MonteCarlo
 
 /** Monte-Carlo influence function σ̂(S) with a pluggable simulation backend —
@@ -27,65 +27,59 @@ trait InfluenceEstimator {
   * reusable-state simulators so per-evaluation cost is proportional to the
   * touched edges, not to graph size — the property Table 2 measures.
   */
-final class CsrEstimator(g: CsrGraph, trials: Int, seed: Long, lt: Boolean = false)
+final class CsrEstimator(g: CsrGraph, trials: Int, seed: Long, model: Model = IndependentCascade)
     extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
-  private val ic = if (lt) null else new IcSimulator(g, seed)
-  private val ltSim = if (lt) new LtSimulator(g, seed) else null
+  private val sim = model.simulator(g, seed)
   val name: String = "csr"
-  def sigma(seeds: Seq[Int]): Double = {
-    val arr = seeds.toArray
-    if (lt) ltSim.meanInfluence(arr, trials) else ic.meanInfluence(arr, trials)
+  def sigma(seeds: Seq[Int]): Double = sim.meanInfluence(seeds.toArray, trials)
+}
+
+/** The trial loop the two baseline backends share: σ̂ is the mean of
+  * `count(seeds, trial)` over trials [0, trials).
+  */
+sealed abstract class BaselineEstimator(trials: Int) extends InfluenceEstimator {
+  require(trials > 0, "trials must be positive")
+  protected def count(seeds: Seq[Int], trial: Long): Int
+  final def sigma(seeds: Seq[Int]): Double = {
+    var sum = 0L
+    var t = 0
+    while (t < trials) { sum += count(seeds, t.toLong); t += 1 }
+    sum.toDouble / trials
   }
 }
 
 /** σ̂ via the boxed-frontier baseline (the pure-Python analog). */
-final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, lt: Boolean = false)
-    extends InfluenceEstimator {
-  require(trials > 0, "trials must be positive")
+final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
+    extends BaselineEstimator(trials) {
   private val adj = BoxedFrontier.buildAdjacency(triples)
   val name: String = "boxed"
-  def sigma(seeds: Seq[Int]): Double = {
-    var sum = 0L
-    var t = 0
-    while (t < trials) {
-      sum +=
-        (if (lt) BoxedFrontier.activatedCountLT(adj, seeds, t.toLong, seed)
-         else BoxedFrontier.activatedCountIC(adj, seeds, t.toLong, seed))
-      t += 1
-    }
-    sum.toDouble / trials
+  protected def count(seeds: Seq[Int], trial: Long): Int = model match {
+    case IndependentCascade => BoxedFrontier.activatedCountIC(adj, seeds, trial, seed)
+    case LinearThreshold    => BoxedFrontier.activatedCountLT(adj, seeds, trial, seed)
   }
 }
 
 /** σ̂ via the full-scan baseline (the NDlib analog) — the backend the paper
   * reports as not finishing CELF within its time budget.
   */
-final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, lt: Boolean = false)
-    extends InfluenceEstimator {
-  require(trials > 0, "trials must be positive")
+final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
+    extends BaselineEstimator(trials) {
   private val adj = FullScan.buildAdjacency(triples)
   val name: String = "fullscan"
-  def sigma(seeds: Seq[Int]): Double = {
-    var sum = 0L
-    var t = 0
-    while (t < trials) {
-      sum +=
-        (if (lt) FullScan.activatedCountLT(n, adj, seeds, t.toLong, seed)
-         else FullScan.activatedCountIC(n, adj, seeds, t.toLong, seed))
-      t += 1
-    }
-    sum.toDouble / trials
+  protected def count(seeds: Seq[Int], trial: Long): Int = model match {
+    case IndependentCascade => FullScan.activatedCountIC(n, adj, seeds, trial, seed)
+    case LinearThreshold    => FullScan.activatedCountLT(n, adj, seeds, trial, seed)
   }
 }
 
 /** σ̂ with trials fanned out over the Spark cluster — same worlds, same
   * value, different execution substrate (see [[repro.spark.MonteCarlo]]).
   */
-final class SparkEstimator(spark: SparkSession, g: CsrGraph, trials: Int, seed: Long, lt: Boolean = false)
+final class SparkEstimator(spark: SparkSession, g: CsrGraph, trials: Int, seed: Long, model: Model = IndependentCascade)
     extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
   val name: String = "spark"
   def sigma(seeds: Seq[Int]): Double =
-    MonteCarlo.influence(spark, g, seeds.toArray, trials, seed, if (lt) MonteCarlo.LT else MonteCarlo.IC)
+    MonteCarlo.influence(spark, g, seeds.toArray, trials, seed, model)
 }

@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{CsrGraph, IcSimulator, IndependentCascade, LinearThreshold, LtSimulator}
+import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model}
 
 /** Spark-distributed Monte-Carlo driver for the diffusion engines.
   *
@@ -16,10 +16,9 @@ import repro.core.{CsrGraph, IcSimulator, IndependentCascade, LinearThreshold, L
   */
 object MonteCarlo {
 
-  /** Diffusion model selector. */
-  sealed trait Model extends Serializable
-  case object IC extends Model
-  case object LT extends Model
+  /** Short names of the [[repro.core.Model]] cases. */
+  val IC: Model = IndependentCascade
+  val LT: Model = LinearThreshold
 
   /** Per-trial activation rows: (trial, node, step) for every activated node.
     *
@@ -42,14 +41,12 @@ object MonteCarlo {
       .range(trials)
       .as[Long]
       .mapPartitions { it =>
-        val graph = bg.value
+        // One reusable-state simulator per partition: allocation amortizes
+        // over the partition's trials, matching the local hot path.
+        val sim = model.simulator(bg.value, seed)
         val s = bSeeds.value
         it.flatMap { trial =>
-          val res = model match {
-            case IC => IndependentCascade.simulate(graph, s, trial, seed)
-            case LT => LinearThreshold.simulate(graph, s, trial, seed)
-          }
-          res.activationStep.iterator.zipWithIndex.collect {
+          sim.simulate(s, trial).activationStep.iterator.zipWithIndex.collect {
             case (st, node) if st >= 0 => (trial, node, st)
           }
         }
@@ -74,18 +71,9 @@ object MonteCarlo {
       .range(trials)
       .as[Long]
       .mapPartitions { it =>
-        // One reusable-state simulator per partition: allocation amortizes
-        // over the partition's trials, matching the local hot path.
-        val g = bg.value
+        val sim = model.simulator(bg.value, seed)
         val s = bSeeds.value
-        model match {
-          case IC =>
-            val sim = new IcSimulator(g, seed)
-            it.map(trial => (trial, sim.activatedCount(s, trial)))
-          case LT =>
-            val sim = new LtSimulator(g, seed)
-            it.map(trial => (trial, sim.activatedCount(s, trial)))
-        }
+        it.map(trial => (trial, sim.activatedCount(s, trial)))
       }
       .toDF("trial", "activated")
   }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropHelpers, SparkSpec}
 
 /** CSR construction, invariants, degree math, DataFrame round-trip. */

@@ -44,6 +44,10 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
   test("weight 1.0 on a path yields activation step = distance") {
     val r = IndependentCascade.simulate(path(6, 1.0), Array(0), 3, 99)
     assert(r.activationStep.toSeq == Seq(0, 1, 2, 3, 4, 5))
+    // more steps than the simulator's initial step-end capacity
+    val long = IndependentCascade.simulate(path(40, 1.0), Array(0), 3, 99)
+    assert(long.activationStep.toSeq == (0 until 40))
+    assert(long.newPerStep.toSeq == Seq.fill(40)(1))
   }
 
   test("weight 0.0 activates only the seeds") {
@@ -68,8 +72,8 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
     val p = 0.3
     val g = CsrGraph.fromTriples(2, Seq((0, 1, p)))
     val trials = 20000
-    val hits = (0 until trials).count(t =>
-      IndependentCascade.activatedCount(g, Array(0), t.toLong, 5) == 2)
+    val sim = IndependentCascade.simulator(g, 5)
+    val hits = (0 until trials).count(t => sim.activatedCount(Array(0), t.toLong) == 2)
     assert(math.abs(hits.toDouble / trials - p) < 0.01, s"empirical ${hits.toDouble / trials}")
   }
 
@@ -99,7 +103,7 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
       val g = randomGraph(rnd, 2 + rnd.nextInt(20), rnd.nextInt(80))
       val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.n))
       val trial = rnd.nextInt(1000).toLong
-      assert(IndependentCascade.activatedCount(g, seeds, trial, 7) ==
+      assert(IndependentCascade.simulator(g, 7).activatedCount(seeds, trial) ==
         IndependentCascade.simulate(g, seeds, trial, 7).totalActivated)
     }
   }

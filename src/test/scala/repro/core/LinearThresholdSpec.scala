@@ -43,6 +43,8 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
       assert(r.totalActivated == 6, s"trial $t")
       assert(r.activationStep.toSeq == Seq(0, 1, 2, 3, 4, 5))
     }
+    val long = LinearThreshold.simulate(path(40, 1.0), Array(0), 0, 3)
+    assert(long.activationStep.toSeq == (0 until 40))
   }
 
   test("weight 0.0 never activates a node with a positive threshold") {
@@ -59,7 +61,8 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
     val w = 0.35
     val g = star(2, w)
     val trials = 20000
-    val hits = (0 until trials).count(t => LinearThreshold.activatedCount(g, Array(0), t.toLong, 5) == 2)
+    val sim = LinearThreshold.simulator(g, 5)
+    val hits = (0 until trials).count(t => sim.activatedCount(Array(0), t.toLong) == 2)
     assert(math.abs(hits.toDouble / trials - w) < 0.01, s"freq ${hits.toDouble / trials}")
   }
 
@@ -77,7 +80,8 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
   test("single half-weight in-neighbor activates with frequency 1/2") {
     val g = CsrGraph.fromTriples(3, Seq((0, 2, 0.5), (1, 2, 0.5)))
     val trials = 20000
-    val hits = (0 until trials).count(t => LinearThreshold.activatedCount(g, Array(0), t.toLong, 7) == 2)
+    val sim = LinearThreshold.simulator(g, 7)
+    val hits = (0 until trials).count(t => sim.activatedCount(Array(0), t.toLong) == 2)
     assert(math.abs(hits.toDouble / trials - 0.5) < 0.012, s"freq ${hits.toDouble / trials}")
   }
 
@@ -86,7 +90,7 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
       val g = randomGraph(rnd, 2 + rnd.nextInt(20), rnd.nextInt(80))
       val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.n))
       val trial = rnd.nextInt(1000).toLong
-      assert(LinearThreshold.activatedCount(g, seeds, trial, 7) ==
+      assert(LinearThreshold.simulator(g, 7).activatedCount(seeds, trial) ==
         LinearThreshold.simulate(g, seeds, trial, 7).totalActivated)
     }
   }

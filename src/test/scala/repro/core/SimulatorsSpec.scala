@@ -2,8 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
+import repro.baselines.BoxedFrontier
 
-/** Reusable-state simulators vs the allocate-per-trial reference paths.
+/** Reusable-state simulators vs the boxed-frontier reference paths.
   * The epoch-marking scheme must never leak state across trials or across
   * changing seed sets — every test interleaves calls to provoke staleness.
   */
@@ -20,14 +21,17 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
     CsrGraph.fromTriples(n, raw.map { case (u, v, w) => (u, v, w / math.max(1.0, sums(v))) })
   }
 
+  private def boxed(g: CsrGraph) = BoxedFrontier.buildAdjacency(g.edgeTriples)
+
   test("IcSimulator matches IndependentCascade.activatedCount across sequential trials") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomGraph(rnd, 3 + rnd.nextInt(25), rnd.nextInt(120))
+      val adj = boxed(g)
       val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.n))
       val sim = new IcSimulator(g, 7)
       (0 until 20).foreach { t =>
         assert(sim.activatedCount(seeds, t.toLong) ==
-          IndependentCascade.activatedCount(g, seeds, t.toLong, 7), s"trial $t")
+          BoxedFrontier.activatedCountIC(adj, seeds.toSeq, t.toLong, 7), s"trial $t")
       }
     }
   }
@@ -35,11 +39,12 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
   test("LtSimulator matches LinearThreshold.activatedCount across sequential trials") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomLtGraph(rnd, 3 + rnd.nextInt(25), rnd.nextInt(120))
+      val adj = boxed(g)
       val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.n))
       val sim = new LtSimulator(g, 7)
       (0 until 20).foreach { t =>
         assert(sim.activatedCount(seeds, t.toLong) ==
-          LinearThreshold.activatedCount(g, seeds, t.toLong, 7), s"trial $t")
+          BoxedFrontier.activatedCountLT(adj, seeds.toSeq, t.toLong, 7), s"trial $t")
       }
     }
   }
@@ -47,12 +52,13 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
   test("IcSimulator is immune to stale state when seed sets change between calls") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomGraph(rnd, 5 + rnd.nextInt(20), rnd.nextInt(120))
+      val adj = boxed(g)
       val sim = new IcSimulator(g, 11)
       (0 until 15).foreach { i =>
         val seeds = Array.fill(1 + rnd.nextInt(4))(rnd.nextInt(g.n))
         val t = rnd.nextInt(8).toLong // deliberately repeat trial indices
         assert(sim.activatedCount(seeds, t) ==
-          IndependentCascade.activatedCount(g, seeds, t, 11), s"call $i")
+          BoxedFrontier.activatedCountIC(adj, seeds.toSeq, t, 11), s"call $i")
       }
     }
   }
@@ -60,13 +66,54 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
   test("LtSimulator is immune to stale accumulator state across calls") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomLtGraph(rnd, 5 + rnd.nextInt(20), rnd.nextInt(120))
+      val adj = boxed(g)
       val sim = new LtSimulator(g, 13)
       (0 until 15).foreach { i =>
         val seeds = Array.fill(1 + rnd.nextInt(4))(rnd.nextInt(g.n))
         val t = rnd.nextInt(8).toLong
         assert(sim.activatedCount(seeds, t) ==
-          LinearThreshold.activatedCount(g, seeds, t, 13), s"call $i")
+          BoxedFrontier.activatedCountLT(adj, seeds.toSeq, t, 13), s"call $i")
       }
+    }
+  }
+
+  test("simulate on a reused simulator records the same steps as the boxed frontier") {
+    for (model <- Seq(IndependentCascade, LinearThreshold)) {
+      forAllRandom(iters = 40) { rnd =>
+        val g =
+          if (model == IndependentCascade) randomGraph(rnd, 5 + rnd.nextInt(30), rnd.nextInt(150))
+          else randomLtGraph(rnd, 5 + rnd.nextInt(30), rnd.nextInt(150))
+        val adj = boxed(g)
+        val sim = model.simulator(g, 31)
+        (0 until 15).foreach { i =>
+          val seeds = Array.fill(rnd.nextInt(5))(rnd.nextInt(g.n))
+          val t = rnd.nextInt(6).toLong // repeated trial ids, changing seed sets
+          if (rnd.nextBoolean()) sim.activatedCount(Array(rnd.nextInt(g.n)), rnd.nextInt(6).toLong)
+          val got = sim.simulate(seeds, t)
+          val want =
+            if (model == IndependentCascade) BoxedFrontier.simulateIC(g.n, adj, seeds.toSeq, t, 31)
+            else BoxedFrontier.simulateLT(g.n, adj, seeds.toSeq, t, 31)
+          assert(got.activationStep.toSeq == want.activationStep.toSeq, s"$model call $i")
+          assert(got.newPerStep.toSeq == want.newPerStep.toSeq, s"$model call $i")
+        }
+      }
+    }
+  }
+
+  test("seed ids outside [0, n) are rejected with the id and n") {
+    val g = CsrGraph.fromTriples(4, Seq((0, 1, 1.0)))
+    for (model <- Seq(IndependentCascade, LinearThreshold); bad <- Seq(-1, 4)) {
+      val sim = model.simulator(g, 1)
+      val calls: Seq[() => Any] = Seq(
+        () => sim.activatedCount(Array(0, bad), 0),
+        () => sim.simulate(Array(bad), 0),
+        () => model.simulate(g, Array(bad), 0, 1),
+      )
+      calls.foreach { call =>
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"seed id $bad ") && e.getMessage.contains("[0, 4)"), e.getMessage)
+      }
+      assert(sim.activatedCount(Array(0), 0) == 2) // a rejected call leaves the simulator usable
     }
   }
 

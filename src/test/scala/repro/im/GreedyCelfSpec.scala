@@ -1,7 +1,7 @@
 package repro.im
 
 import repro.SparkSpec
-import repro.core.CsrGraph
+import repro.core.{CsrGraph, IndependentCascade, LinearThreshold}
 import repro.graph.{Generators, GraphOps}
 import repro.weights.EdgeWeights
 
@@ -39,10 +39,10 @@ class GreedyCelfSpec extends SparkSpec {
 
   test("LT estimators agree across backends too") {
     val (triples, g) = graph("WC")
-    val a = new CsrEstimator(g, trials, rngSeed, lt = true).sigma(Seq(0, 5))
-    val b = new BoxedEstimator(g.n, triples, trials, rngSeed, lt = true).sigma(Seq(0, 5))
-    val c = new FullScanEstimator(g.n, triples, trials, rngSeed, lt = true).sigma(Seq(0, 5))
-    val d = new SparkEstimator(spark, g, trials, rngSeed, lt = true).sigma(Seq(0, 5))
+    val a = new CsrEstimator(g, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
+    val b = new BoxedEstimator(g.n, triples, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
+    val c = new FullScanEstimator(g.n, triples, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
+    val d = new SparkEstimator(spark, g, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
     assert(a == b && a == c && a == d)
   }
 
@@ -191,5 +191,13 @@ class GreedyCelfSpec extends SparkSpec {
   test("estimators reject non-positive trial counts") {
     val (_, g) = graph("TV", n = 10, p = 0.2)
     assertThrows[IllegalArgumentException](new CsrEstimator(g, 0, rngSeed))
+  }
+
+  test("CsrEstimator rejects seed ids outside the graph under both models") {
+    val (_, g) = graph("TV", n = 10, p = 0.2)
+    for (model <- Seq(IndependentCascade, LinearThreshold); bad <- Seq(-1, 10)) {
+      val e = intercept[IllegalArgumentException](new CsrEstimator(g, 5, rngSeed, model).sigma(Seq(0, bad)))
+      assert(e.getMessage.contains(s"seed id $bad ") && e.getMessage.contains("[0, 10)"), e.getMessage)
+    }
   }
 }

@@ -33,8 +33,9 @@ class MonteCarloSpec extends SparkSpec {
     val rows = MonteCarlo.trialCounts(spark, g, seeds, 25, rngSeed, MonteCarlo.IC)
       .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     assert(rows.size == 25)
+    val sim = IndependentCascade.simulator(g, rngSeed)
     (0 until 25).foreach { t =>
-      assert(rows(t.toLong) == IndependentCascade.activatedCount(g, seeds, t.toLong, rngSeed))
+      assert(rows(t.toLong) == sim.activatedCount(seeds, t.toLong))
     }
   }
 
