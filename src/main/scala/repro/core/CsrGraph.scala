@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import repro.graph.GraphOps
 
 /** Compressed-sparse-row directed graph with per-edge weights.
   *
@@ -70,48 +71,101 @@ final class CsrGraph(
 
 object CsrGraph {
 
-  /** Build from (src, dst, weight) triples. Deduplicates exact duplicate
-    * (src, dst) pairs keeping the first weight; sorts rows by target.
+  /** Build from (src, dst, weight) triples. Rows are sorted by target, and
+    * of repeated (src, dst) pairs only the first in input order is kept.
+    *
+    * A counting sort over primitive arrays: the triples are copied once into
+    * `src`/`dst`/`weight` arrays (rejecting out-of-range ids and non-finite
+    * weights on the way), then placed by two stable counting passes, first
+    * by `dst` and then by `src`. Rows end up sorted by target with repeated
+    * pairs still in input order, so one scan keeps each pair's first weight.
+    * O(n + m) time, no boxing after the copy.
     *
     * @param n       node count (ids must lie in [0, n))
-    * @param triples directed, weighted edges
+    * @param triples directed, weighted edges; weights must be finite
     */
   def fromTriples(n: Int, triples: Seq[(Int, Int, Double)]): CsrGraph = {
-    val seen = new java.util.HashSet[Long]()
-    val uniq = triples.filter { case (u, v, _) =>
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
-      seen.add((u.toLong << 32) | (v.toLong & 0xffffffffL))
-    }
-    val sorted = uniq.sortBy { case (u, v, _) => (u, v) }
-    val m = sorted.length
-    val offsets = new Array[Int](n + 1)
-    val targets = new Array[Int](m)
-    val weights = new Array[Double](m)
+    val m0 = triples.size
+    val src = new Array[Int](m0)
+    val dst = new Array[Int](m0)
+    val wt = new Array[Double](m0)
+    // Counts per dst / src, then (after the prefix sums) the slot the next
+    // edge into v / out of u takes in its counting pass.
+    val next = new Array[Int](n + 1)
+    val rowEnd = new Array[Int](n + 1)
+    val it = triples.iterator
     var i = 0
-    for ((u, v, w) <- sorted) {
-      offsets(u + 1) += 1
-      targets(i) = v
-      weights(i) = w
+    while (it.hasNext) {
+      val t = it.next()
+      val u = t._1
+      val v = t._2
+      val w = t._3
+      if (u < 0 || u >= n || v < 0 || v >= n)
+        throw new IllegalArgumentException(s"edge ($u,$v) out of range [0,$n)")
+      if (!java.lang.Double.isFinite(w))
+        throw new IllegalArgumentException(s"edge ($u,$v) has non-finite weight $w")
+      src(i) = u
+      dst(i) = v
+      wt(i) = w
+      next(v + 1) += 1
+      rowEnd(u + 1) += 1
       i += 1
     }
     var v = 0
-    while (v < n) { offsets(v + 1) += offsets(v); v += 1 }
-    new CsrGraph(n, offsets, targets, weights)
+    while (v < n) { next(v + 1) += next(v); rowEnd(v + 1) += rowEnd(v); v += 1 }
+
+    // Pass 1, stable by dst.
+    val src1 = new Array[Int](m0)
+    val dst1 = new Array[Int](m0)
+    val wt1 = new Array[Double](m0)
+    i = 0
+    while (i < m0) {
+      val p = next(dst(i))
+      next(dst(i)) = p + 1
+      src1(p) = src(i); dst1(p) = dst(i); wt1(p) = wt(i)
+      i += 1
+    }
+    // Pass 2, stable by src: rows sorted by dst, repeated pairs in input order.
+    // Afterwards rowEnd(u) is the end of row u.
+    val targets = new Array[Int](m0)
+    val weights = new Array[Double](m0)
+    i = 0
+    while (i < m0) {
+      val p = rowEnd(src1(i))
+      rowEnd(src1(i)) = p + 1
+      targets(p) = dst1(i); weights(p) = wt1(i)
+      i += 1
+    }
+    // Keep the first of each run of equal targets in a row, compacting in place.
+    val offsets = new Array[Int](n + 1)
+    var k = 0
+    i = 0
+    var u = 0
+    while (u < n) {
+      var prev = -1
+      while (i < rowEnd(u)) {
+        if (targets(i) != prev) {
+          prev = targets(i)
+          targets(k) = prev; weights(k) = weights(i)
+          k += 1
+        }
+        i += 1
+      }
+      offsets(u + 1) = k
+      u += 1
+    }
+    if (k == m0) new CsrGraph(n, offsets, targets, weights)
+    else new CsrGraph(n, offsets, java.util.Arrays.copyOf(targets, k), java.util.Arrays.copyOf(weights, k))
   }
 
   /** Build from a weighted edge DataFrame with columns (src, dst, weight).
     *
     * Mirrors the paper's NetworkX→CSR conversion utilities: the DataFrame is
     * the "high-level" graph object, the CSR is the simulation structure.
-    * Collects to the driver — diffusion graphs here are single-machine scale
-    * by design (the paper's setting).
+    * Collects to the driver through [[repro.graph.GraphOps.toTriples]] —
+    * diffusion graphs here are single-machine scale by design (the paper's
+    * setting).
     */
-  def fromDataFrame(edges: DataFrame, n: Int): CsrGraph = {
-    val triples = edges
-      .selectExpr("cast(src as int) src", "cast(dst as int) dst", "cast(weight as double) weight")
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
-      .toSeq
-    fromTriples(n, triples)
-  }
+  def fromDataFrame(edges: DataFrame, n: Int): CsrGraph =
+    fromTriples(n, GraphOps.toTriples(edges))
 }

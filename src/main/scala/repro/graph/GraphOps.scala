@@ -1,7 +1,8 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.immutable.ArraySeq
 
 /** DataFrame-level operations on edge lists.
   *
@@ -36,13 +37,16 @@ object GraphOps {
     edges.groupBy(col("src").as("node")).agg(count(lit(1)).as("out_degree"))
 
   /** Collect a (possibly weighted) edge DataFrame to local triples; a
-    * missing weight column defaults to `defaultWeight`.
+    * missing weight column defaults to `defaultWeight`. Columns are cast to
+    * (int, int, double) and decoded straight into tuples by a typed encoder.
     */
   def toTriples(edges: DataFrame, defaultWeight: Double = 1.0): Seq[(Int, Int, Double)] = {
-    val withW =
-      if (edges.columns.contains("weight")) edges.selectExpr("src", "dst", "cast(weight as double) weight")
-      else edges.select(col("src"), col("dst"), lit(defaultWeight).as("weight"))
-    withW.collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))).toSeq
+    val weight = if (edges.columns.contains("weight")) col("weight") else lit(defaultWeight)
+    val triples = edges
+      .select(col("src").cast("int"), col("dst").cast("int"), weight.cast("double"))
+      .as(Encoders.tuple(Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaDouble))
+      .collect()
+    ArraySeq.unsafeWrapArray(triples)
   }
 
   /** Lift local triples into an edge DataFrame (tests, small graphs). */

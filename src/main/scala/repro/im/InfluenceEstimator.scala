@@ -1,5 +1,6 @@
 package repro.im
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BoxedFrontier, FullScan}
 import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model}
@@ -75,11 +76,18 @@ final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: 
 
 /** σ̂ with trials fanned out over the Spark cluster — same worlds, same
   * value, different execution substrate (see [[repro.spark.MonteCarlo]]).
+  *
+  * The graph is broadcast once, when the estimator is built, and every σ̂
+  * call reuses it; `close()` destroys the broadcast, after which `sigma`
+  * fails. CELF makes thousands of calls, so a broadcast per call would pile
+  * up blocks for the cleaner.
   */
 final class SparkEstimator(spark: SparkSession, g: CsrGraph, trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends InfluenceEstimator {
+    extends InfluenceEstimator with AutoCloseable {
   require(trials > 0, "trials must be positive")
+  private[im] val graph: Broadcast[CsrGraph] = spark.sparkContext.broadcast(g)
   val name: String = "spark"
   def sigma(seeds: Seq[Int]): Double =
-    MonteCarlo.influence(spark, g, seeds.toArray, trials, seed, model)
+    MonteCarlo.influence(spark, graph, seeds.toArray, trials, seed, model)
+  def close(): Unit = graph.destroy()
 }

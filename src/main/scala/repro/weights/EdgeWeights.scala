@@ -1,6 +1,7 @@
 package repro.weights
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Edge-weight models (EWM) from the paper's benchmarks, as DataFrame
@@ -43,15 +44,17 @@ object EdgeWeights {
       unitHash(lit("ur"), col("src"), col("dst"), lit(seed)).as("weight"),
     )
 
-  /** Weighted cascade: weight(u→v) = 1 / in-degree(v). Pure SQL (groupBy +
-    * join), oracle-checked; no seed — WC is deterministic in the graph.
+  /** Weighted cascade: weight(u→v) = 1 / in-degree(v). Pure SQL, a
+    * `count(*)` over a window partitioned by `dst` (one shuffle), dividing
+    * 1.0 by the long count exactly as a groupBy + join would;
+    * oracle-checked; no seed — WC is deterministic in the graph.
     */
-  def weightedCascade(edges: DataFrame): DataFrame = {
-    val indeg = edges.groupBy(col("dst").as("node")).agg(count(lit(1)).as("in_degree"))
-    edges
-      .join(indeg, edges("dst") === indeg("node"))
-      .select(col("src"), col("dst"), (lit(1.0) / col("in_degree")).as("weight"))
-  }
+  def weightedCascade(edges: DataFrame): DataFrame =
+    edges.select(
+      col("src"),
+      col("dst"),
+      (lit(1.0) / count(lit(1)).over(Window.partitionBy(col("dst")))).as("weight"),
+    )
 
   /** Apply a model by name ("TV" | "UR" | "WC") to a directed edge list. */
   def apply(name: String, edges: DataFrame, seed: Long): DataFrame = name match {

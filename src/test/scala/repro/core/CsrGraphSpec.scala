@@ -7,6 +7,32 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
 
   private val triangle = Seq((0, 1, 0.5), (1, 2, 0.25), (2, 0, 0.75))
 
+  /** The boxed builder `fromTriples` replaced (filter through a
+    * `HashSet[Long]`, then `sortBy` on the (src, dst) key), kept as the
+    * reference the counting sort must reproduce array for array.
+    */
+  private def referenceBuild(n: Int, triples: Seq[(Int, Int, Double)]): CsrGraph = {
+    val seen = new java.util.HashSet[Long]()
+    val uniq = triples.filter { case (u, v, _) =>
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
+      seen.add((u.toLong << 32) | (v.toLong & 0xffffffffL))
+    }
+    val sorted = uniq.sortBy { case (u, v, _) => (u, v) }
+    val offsets = new Array[Int](n + 1)
+    sorted.foreach { case (u, _, _) => offsets(u + 1) += 1 }
+    (0 until n).foreach(v => offsets(v + 1) += offsets(v))
+    new CsrGraph(n, offsets, sorted.map(_._2).toArray, sorted.map(_._3).toArray)
+  }
+
+  private def assertSameArrays(a: CsrGraph, b: CsrGraph, clue: => String): Unit = {
+    assert(a.n == b.n, clue)
+    assert(a.offsets.toSeq == b.offsets.toSeq, s"offsets: $clue")
+    assert(a.targets.toSeq == b.targets.toSeq, s"targets: $clue")
+    // Compare bits, so a different one of two conflicting weights shows.
+    assert(a.weights.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+      b.weights.map(java.lang.Double.doubleToRawLongBits).toSeq, s"weights: $clue")
+  }
+
   test("fromTriples builds correct offsets for a triangle") {
     val g = CsrGraph.fromTriples(3, triangle)
     assert(g.offsets.toSeq == Seq(0, 1, 2, 3))
@@ -50,6 +76,37 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     val g = CsrGraph.fromTriples(2, Seq((0, 1, 0.9), (0, 1, 0.1)))
     assert(g.m == 1)
     assert(g.weights.toSeq == Seq(0.9))
+  }
+
+  test("counting-sort builder equals the reference builder on random triples") {
+    val fixed = Seq(
+      1 -> Nil,
+      1 -> Seq((0, 0, 0.5), (0, 0, 0.25)),
+      2 -> Seq((1, 0, 0.1), (0, 1, 0.2), (1, 0, 0.3), (1, 1, 0.4), (0, 1, 0.5)),
+      5 -> Seq((4, 4, 1.0), (4, 0, 0.5), (4, 4, 0.0), (0, 4, 0.75)),
+    )
+    for ((n, triples) <- fixed)
+      assertSameArrays(CsrGraph.fromTriples(n, triples), referenceBuild(n, triples), s"n=$n $triples")
+    // Few distinct ids relative to the edge count, so repeated pairs with
+    // conflicting weights, self-loops and empty rows are all common.
+    forAllRandom(iters = 300) { rnd =>
+      val n = 1 + rnd.nextInt(12)
+      val triples = Seq.fill(rnd.nextInt(80)) {
+        val w = if (rnd.nextInt(4) == 0) rnd.nextInt(3).toDouble else rnd.nextDouble()
+        (rnd.nextInt(n), rnd.nextInt(n), w)
+      }
+      assertSameArrays(CsrGraph.fromTriples(n, triples), referenceBuild(n, triples), s"n=$n $triples")
+    }
+  }
+
+  test("non-finite weights are rejected with a message naming the edge") {
+    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](
+        CsrGraph.fromTriples(3, Seq((0, 1, 0.5), (1, 2, w), (2, 0, 0.25))))
+      assert(e.getMessage.contains("edge (1,2)") && e.getMessage.contains(w.toString), e.getMessage)
+    }
+    // A repeated pair is rejected too, although the builder would drop it.
+    assertThrows[IllegalArgumentException](CsrGraph.fromTriples(2, Seq((0, 1, 0.5), (0, 1, Double.NaN))))
   }
 
   test("out-of-range node ids are rejected") {

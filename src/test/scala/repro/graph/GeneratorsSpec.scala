@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 /** Generator invariants: canonical form, determinism, counts, structure. */
@@ -61,6 +62,24 @@ class GeneratorsSpec extends SparkSpec {
       "SELECT count(*) as m FROM edges",
       "edges" -> df,
     )
+  }
+
+  test("ER: the upper-triangle enumeration keeps the edges of the n² filter") {
+    // The n² enumeration erdosRenyi replaced: every ordered pair, then the
+    // upper triangle and the same hash draw.
+    def squareFilter(n: Int, p: Double, seed: Long): DataFrame = spark
+      .range(n.toLong * n)
+      .select((col("id") / n).cast("int").as("src"), (col("id") % n).cast("int").as("dst"))
+      .where(col("src") < col("dst"))
+      .where(shiftrightunsigned(xxhash64(col("src"), col("dst"), lit(seed)), 11) * lit(1.1102230246251565e-16) < p)
+    def edgeList(df: DataFrame) = df.collect().map(r => (r.getInt(0), r.getInt(1))).sorted.toSeq
+    for ((n, p, seed) <- Seq((2, 0.0, 1L), (2, 1.0, 1L), (2, 0.5, 3L), (3, 0.5, 4L), (40, 0.0, 5L),
+                             (40, 1.0, 5L), (97, 0.1, 7L), (150, 0.03, 8L), (300, 0.01, 9L))) {
+      val er = Generators.erdosRenyi(spark, n, p, seed)
+      // Same names and types; only nullability differs (range ids are non-null).
+      assert(er.schema.map(f => f.name -> f.dataType) == squareFilter(n, p, seed).schema.map(f => f.name -> f.dataType))
+      assert(edgeList(er) == edgeList(squareFilter(n, p, seed)), s"n=$n p=$p seed=$seed")
+    }
   }
 
   // ---------------------------------------------------------------- WS

@@ -1,9 +1,11 @@
 package repro.im
 
+import org.apache.spark.SparkException
 import repro.SparkSpec
 import repro.core.{CsrGraph, IndependentCascade, LinearThreshold}
 import repro.graph.{Generators, GraphOps}
 import repro.weights.EdgeWeights
+import scala.util.Using
 
 /** Greedy vs CELF equivalence, estimator agreement, lazy-evaluation wins. */
 class GreedyCelfSpec extends SparkSpec {
@@ -30,10 +32,12 @@ class GreedyCelfSpec extends SparkSpec {
         new FullScanEstimator(g.n, triples, trials, rngSeed),
         new SparkEstimator(spark, g, trials, rngSeed),
       )
-      for (seeds <- Seq(Seq(0), Seq(1, 2, 3), Seq(10, 40))) {
-        val vals = backends.map(_.sigma(seeds))
-        assert(vals.distinct.size == 1, s"seeds=$seeds vals=${backends.map(_.name).zip(vals)}")
-      }
+      try {
+        for (seeds <- Seq(Seq(0), Seq(1, 2, 3), Seq(10, 40))) {
+          val vals = backends.map(_.sigma(seeds))
+          assert(vals.distinct.size == 1, s"seeds=$seeds vals=${backends.map(_.name).zip(vals)}")
+        }
+      } finally backends.collect { case s: SparkEstimator => s.close() }
     }
   }
 
@@ -42,8 +46,23 @@ class GreedyCelfSpec extends SparkSpec {
     val a = new CsrEstimator(g, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
     val b = new BoxedEstimator(g.n, triples, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
     val c = new FullScanEstimator(g.n, triples, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
-    val d = new SparkEstimator(spark, g, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
+    val d = Using.resource(new SparkEstimator(spark, g, trials, rngSeed, model = LinearThreshold))(_.sigma(Seq(0, 5)))
     assert(a == b && a == c && a == d)
+  }
+
+  test("SparkEstimator reuses one graph broadcast and destroys it on close()") {
+    val (_, g) = graph("TV", n = 30, p = 0.1)
+    val est = new SparkEstimator(spark, g, 10, rngSeed)
+    val before = est.graph.value
+    val s1 = est.sigma(Seq(0))
+    val s2 = est.sigma(Seq(1, 2))
+    assert(est.graph.value eq before, "σ̂ calls must not replace the broadcast")
+    assert(s1 == new CsrEstimator(g, 10, rngSeed).sigma(Seq(0)))
+    assert(s2 == new CsrEstimator(g, 10, rngSeed).sigma(Seq(1, 2)))
+    est.close()
+    val e = intercept[SparkException](est.graph.value)
+    assert(e.getMessage.contains("destroyed"), e.getMessage)
+    assertThrows[SparkException](est.sigma(Seq(0)))
   }
 
   test("σ̂ is monotone in the seed set (live-edge worlds)") {

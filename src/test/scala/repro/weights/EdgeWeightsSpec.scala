@@ -1,6 +1,7 @@
 package repro.weights
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.graph.{Generators, GraphOps}
 import repro.{Oracle, SparkSpec}
 
@@ -73,6 +74,25 @@ class EdgeWeightsSpec extends SparkSpec {
         "JOIN (SELECT dst, count(*) as in_degree FROM e GROUP BY dst) d ON e.dst = d.dst",
       "e" -> edges,
     )
+  }
+
+  test("WC: the window count equals the groupBy + join bit for bit") {
+    // The groupBy + join weightedCascade replaced.
+    def joined(e: DataFrame): DataFrame = {
+      val indeg = e.groupBy(col("dst").as("node")).agg(count(lit(1)).as("in_degree"))
+      e.join(indeg, e("dst") === indeg("node"))
+        .select(col("src"), col("dst"), (lit(1.0) / col("in_degree")).as("weight"))
+    }
+    def bits(df: DataFrame) = df.collect()
+      .map(r => (r.getInt(0), r.getInt(1)) -> java.lang.Double.doubleToRawLongBits(r.getDouble(2))).toMap
+    val table2 = GraphOps.symmetrize(Generators.randomRegular(spark, 5000, 7, seed = 21))
+    val powerLaw = GraphOps.symmetrize(Generators.chungLuPowerLaw(spark, 500, 2000, 0.66, seed = 3))
+    for ((name, e) <- Seq("Table 2 (7-regular)" -> table2, "ER" -> edges, "Chung–Lu" -> powerLaw)) {
+      val window = EdgeWeights.weightedCascade(e)
+      assert(window.schema == joined(e).schema, name)
+      val (w, j) = (bits(window), bits(joined(e)))
+      assert(w.size == e.count() && w == j, name)
+    }
   }
 
   test("WC: incoming weights of every node sum to exactly 1") {
