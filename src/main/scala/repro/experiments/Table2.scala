@@ -57,17 +57,21 @@ object Table2 {
       weighted = EdgeWeights(ewm, edges, seed = 31)
       triples = GraphOps.toTriples(weighted)
       g = CsrGraph.fromTriples(n, triples)
-      backends: Seq[(InfluenceEstimator, Long)] = Seq(
-        (new CsrEstimator(g, trials, rngSeed), Long.MaxValue),
-        (new BoxedEstimator(n, triples, trials, rngSeed), Long.MaxValue),
+      backends: Seq[(() => InfluenceEstimator, Long)] = Seq(
+        (() => new CsrEstimator(g, trials, rngSeed), Long.MaxValue),
+        (() => new BoxedEstimator(n, triples, trials, rngSeed), Long.MaxValue),
       ) ++ (if (includeFullScan)
-              Seq((new FullScanEstimator(n, triples, trials, rngSeed), fullScanBudgetMs))
+              Seq((() => new FullScanEstimator(n, triples, trials, rngSeed), fullScanBudgetMs))
             else Nil)
-      (est, budget) <- backends
+      (make, budget) <- backends
     } yield {
       // JIT warmup: CELF's wall clock is the measurement, so pay the
-      // compile-and-ramp cost of each backend's hot path before timing.
-      (0 until 10).foreach(v => est.sigma(Seq(v % n)))
+      // compile-and-ramp cost of each backend's hot path before timing. It
+      // runs on a throwaway estimator: the CSR one memoises the worlds of
+      // every node it pops, which must happen inside the timed run.
+      val warm = make()
+      (0 until 10).foreach(v => warm.sigma(Seq(v % n)))
+      val est = make()
       Cell(ewm, est.name, Celf.run(est.sigma, candidates, k, budget))
     }
   }

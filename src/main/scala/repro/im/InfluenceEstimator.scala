@@ -3,7 +3,7 @@ package repro.im
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BoxedFrontier, FullScan}
-import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model}
+import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, LiveEdgeWorlds, Model}
 import repro.spark.MonteCarlo
 
 /** Monte-Carlo influence function σ̂(S) with a pluggable simulation backend —
@@ -24,16 +24,27 @@ trait InfluenceEstimator {
   def sigma(seeds: Seq[Int]): Double
 }
 
-/** σ̂ via the CSR frontier engine (the CyNetDiff analog). Uses the
-  * reusable-state simulators so per-evaluation cost is proportional to the
-  * touched edges, not to graph size — the property Table 2 measures.
+/** σ̂ via the CSR frontier engine (the CyNetDiff analog): per-evaluation
+  * cost is proportional to the touched edges, not to graph size — the
+  * property Table 2 measures.
+  *
+  * IC memoises its worlds ([[LiveEdgeWorlds]]): each node's live out-edges
+  * are sampled once per world and every later σ̂ call follows only those,
+  * which CyNetDiff does not do. LT runs the reusable [[repro.core.LtSimulator]]
+  * per world, since its thresholds accumulate over in-edges rather than
+  * deciding each edge by its own coin.
   */
 final class CsrEstimator(g: CsrGraph, trials: Int, seed: Long, model: Model = IndependentCascade)
     extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
-  private val sim = model.simulator(g, seed)
+  private val mean: Array[Int] => Double = model match {
+    case IndependentCascade => new LiveEdgeWorlds(g, trials, seed).meanInfluence
+    case LinearThreshold =>
+      val sim = model.simulator(g, seed)
+      seeds => sim.meanInfluence(seeds, trials)
+  }
   val name: String = "csr"
-  def sigma(seeds: Seq[Int]): Double = sim.meanInfluence(seeds.toArray, trials)
+  def sigma(seeds: Seq[Int]): Double = mean(seeds.toArray)
 }
 
 /** The trial loop the two baseline backends share: σ̂ is the mean of

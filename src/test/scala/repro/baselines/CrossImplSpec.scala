@@ -3,6 +3,7 @@ package repro.baselines
 import repro.SparkSpec
 import repro.core.{CsrGraph, IndependentCascade, LinearThreshold}
 import repro.graph.{Generators, GraphOps}
+import repro.im.CsrEstimator
 import repro.weights.EdgeWeights
 
 /** The reproduction's backbone: all three implementation rungs of the
@@ -98,7 +99,10 @@ class CrossImplSpec extends SparkSpec {
       val scanMean = (0 until trials)
         .map(t => FullScan.simulateIC(n, scan, seeds.toSeq, t.toLong, rngSeed).totalActivated)
         .sum.toDouble / trials
+      val memoised = new CsrEstimator(g, trials, rngSeed).sigma(seeds.toSeq)
       assert(csr == boxedMean && csr == scanMean)
+      assert(java.lang.Double.doubleToRawLongBits(memoised) == java.lang.Double.doubleToRawLongBits(csr),
+        s"CsrEstimator $memoised vs per-trial $csr")
     }
   }
 
